@@ -170,40 +170,73 @@ let pp ppf t =
   if size t > n then Format.fprintf ppf ";@ ...";
   Format.fprintf ppf "]@]"
 
-let iter_box extents f =
-  let nd = Array.length extents in
+(* Walk the box of [extents] at index [lo] inside [t] as column-major
+   runs along dimension 0: [f off k len] for each run, where [off] is the
+   run's flat position in [t] and [k] its position in a dense array of
+   the box's shape.  The box must lie inside [t] unless it is empty. *)
+let box_runs t ~lo ~extents f =
+  let nd = rank t in
   let total = Array.fold_left ( * ) 1 extents in
   if total > 0 then begin
-    let idx = Array.make nd 0 in
-    for _ = 1 to total do
-      f idx;
+    if Array.length lo <> nd || Array.length extents <> nd then
+      Diag.bug "ndarray: box rank mismatch";
+    let strides = strides t in
+    let base = ref 0 in
+    for d = 0 to nd - 1 do
+      let i = lo.(d) - t.lb.(d) in
+      if i < 0 || i + extents.(d) > t.extents.(d) then
+        Diag.bug "ndarray: box [%d,%d] out of bounds [%d,%d] in dim %d" lo.(d)
+          (lo.(d) + extents.(d) - 1)
+          t.lb.(d)
+          (t.lb.(d) + t.extents.(d) - 1)
+          (d + 1);
+      base := !base + (i * strides.(d))
+    done;
+    let len = if nd = 0 then 1 else extents.(0) in
+    let idx = Array.make nd 0 and off = ref !base in
+    for run = 0 to (total / len) - 1 do
+      f !off (run * len) len;
+      (* advance the odometer over dimensions 1.. *)
       let rec bump d =
         if d < nd then
-          if idx.(d) < extents.(d) - 1 then idx.(d) <- idx.(d) + 1
+          if idx.(d) < extents.(d) - 1 then begin
+            idx.(d) <- idx.(d) + 1;
+            off := !off + strides.(d)
+          end
           else begin
+            off := !off - (idx.(d) * strides.(d));
             idx.(d) <- 0;
             bump (d + 1)
           end
       in
-      bump 0
+      bump 1
     done
   end
 
+(* [copy i j len] copies [len] elements from flat position [i] of [src]
+   to flat position [j] of [dst]: unboxed between arrays of one kind,
+   converted element by element (as [set] does) between kinds. *)
+let run_copier src dst =
+  match (src.data, dst.data) with
+  | Reals s, Reals d -> fun i j len -> if len = 1 then d.(j) <- s.(i) else Array.blit s i d j len
+  | Ints s, Ints d -> fun i j len -> if len = 1 then d.(j) <- s.(i) else Array.blit s i d j len
+  | Logs s, Logs d -> fun i j len -> if len = 1 then d.(j) <- s.(i) else Array.blit s i d j len
+  | _ ->
+      fun i j len ->
+        for x = 0 to len - 1 do
+          set_flat dst (j + x) (get_flat src (i + x))
+        done
+
 let get_box t ~lo ~extents =
   let out = create (kind t) extents in
-  let src_idx = Array.make (rank t) 0 in
-  iter_box extents (fun idx ->
-      Array.iteri (fun d i -> src_idx.(d) <- lo.(d) + i) idx;
-      let dst_idx = Array.map (( + ) 1) idx in
-      set out dst_idx (get t src_idx));
+  box_runs t ~lo ~extents (run_copier t out);
   out
 
 let set_box t ~lo box =
-  let dst_idx = Array.make (rank t) 0 in
-  iter_box box.extents (fun idx ->
-      Array.iteri (fun d i -> dst_idx.(d) <- lo.(d) + i) idx;
-      let src_idx = Array.map (( + ) 1) idx in
-      set t dst_idx (get box src_idx))
+  if size box > 0 && Array.exists (fun l -> l <> 1) box.lb then
+    Diag.bug "ndarray: set_box source must have lower bounds 1";
+  let copy = run_copier box t in
+  box_runs t ~lo ~extents:box.extents (fun off k len -> copy k off len)
 
 let slice_flat t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > size t then Diag.bug "ndarray: slice out of range";

@@ -3,21 +3,26 @@ open F90d_frontend
 open F90d_commdet
 open F90d_ir
 
-(* Fresh temporary ids, unique within one lowered unit. *)
-let temp_counter = ref 0
+(* Fresh temporary ids, unique within one lowered unit.  This counter and
+   the statement-id one below are domain-local: the serve daemon lowers
+   programs on several worker domains at once, and a shared counter let
+   one program's reset hand another duplicate ids. *)
+let temp_counter = Domain.DLS.new_key (fun () -> ref 0)
 
 let fresh_temp () =
-  incr temp_counter;
-  !temp_counter
+  let c = Domain.DLS.get temp_counter in
+  incr c;
+  !c
 
 (* Statement ids: program-unique, allocated in emission order (outer
    statement before its body), reset per program.  sid 0 is reserved for
    "<runtime>" — code executing outside any statement. *)
-let sid_counter = ref 0
+let sid_counter = Domain.DLS.new_key (fun () -> ref 0)
 
 let fresh_sid () =
-  incr sid_counter;
-  !sid_counter
+  let c = Domain.DLS.get sid_counter in
+  incr c;
+  !c
 
 (* Per-unit provenance/explain accumulator. *)
 type acc = {
@@ -522,7 +527,7 @@ let rec lower_stmt env acc ghosts (st : Ast.stmt) : Ir.stmt list =
 and lower_body env acc ghosts body = List.concat_map (lower_stmt env acc ghosts) body
 
 let lower_unit env =
-  temp_counter := 0;
+  Domain.DLS.get temp_counter := 0;
   let uname = env.Sema.usub.Ast.pname in
   let acc = { uname; prov = []; explain = [] } in
   let normalized = Normalize.normalize_unit env env.Sema.usub.Ast.body in
@@ -558,6 +563,6 @@ let lower_unit env =
   }
 
 let lower_program (penv : Sema.program_env) =
-  sid_counter := 0;
+  Domain.DLS.get sid_counter := 0;
   let units = List.map (fun (name, uenv) -> (name, lower_unit uenv)) penv.Sema.uunits in
   { Ir.p_env = penv; p_units = units }

@@ -10,15 +10,25 @@ type dim = {
   mutable ghost_hi : int;
 }
 
+(* layouts keyed by [coord * number of dims + dim]: an int key hashes
+   and compares without the polymorphic primitives a tuple key goes
+   through *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
 type t = {
   name : string;
   kind : Scalar.kind;
   grid : Grid.t;
   dims : dim array;
-  cache : (int * int, Layout.t) Hashtbl.t;  (* (dim, coord) -> layout *)
+  cache : Layout.t Itbl.t;
   (* one-entry memo of a whole rank's layouts, one per dimension: almost
      every query is for the fiber's own rank, and element accesses make
-     one per subscript — the tuple-keyed table above is too slow there *)
+     one per subscript — the hash table above is too slow there *)
   mutable lr_rank : int;
   mutable lr_layouts : Layout.t array;
 }
@@ -36,7 +46,7 @@ let make ~name ~kind ~grid dims =
             Diag.bug "dad %s: two dimensions distributed over grid dim %d" name p;
           Hashtbl.add seen p ())
     dims;
-  { name; kind; grid; dims; cache = Hashtbl.create 16; lr_rank = -1; lr_layouts = [||] }
+  { name; kind; grid; dims; cache = Itbl.create 16; lr_rank = -1; lr_layouts = [||] }
 
 let replicated_dim ~flb ~extent =
   {
@@ -75,13 +85,13 @@ let elem_bytes t = match t.kind with Scalar.Kreal -> 8 | _ -> 4
 
 (* layouts are queried in every local-bounds computation; memoise them *)
 let layout t ~dim ~coord =
-  let key = (dim, coord) in
-  match Hashtbl.find_opt t.cache key with
+  let key = (coord * Array.length t.dims) + dim in
+  match Itbl.find_opt t.cache key with
   | Some l -> l
   | None ->
       let d = t.dims.(dim) in
       let l = Layout.resolve d.dist ~align:d.align ~extent:d.extent ~proc:coord in
-      Hashtbl.add t.cache key l;
+      Itbl.add t.cache key l;
       l
 
 let coord_of ~t ~rank dim_idx =

@@ -1,6 +1,8 @@
 open F90d_base
 
-type t = { dims : int array; phys_of_rank : int array; rank_of_phys : int array }
+(* [all] is the identity team 0..size-1, built once per grid and shared
+   read-only by every rank (and every domain) of a run. *)
+type t = { dims : int array; phys_of_rank : int array; rank_of_phys : int array; all : int array }
 
 let size_of dims = Array.fold_left ( * ) 1 dims
 
@@ -15,11 +17,12 @@ let make ?phys_of_rank dims =
       if node < 0 || node >= n || inv.(node) <> -1 then Diag.bug "grid: embedding is not a permutation";
       inv.(node) <- rank)
     phys;
-  { dims; phys_of_rank = phys; rank_of_phys = inv }
+  { dims; phys_of_rank = phys; rank_of_phys = inv; all = Array.init n Fun.id }
 
 let dims t = t.dims
 let ndims t = Array.length t.dims
 let size t = size_of t.dims
+let all_ranks t = t.all
 
 let rank_of_coords t coords =
   if Array.length coords <> ndims t then Diag.bug "grid: coordinate rank mismatch";

@@ -17,6 +17,10 @@ val dims : t -> int array
 val ndims : t -> int
 val size : t -> int
 
+val all_ranks : t -> int array
+(** The ranks [0..size-1] in order, built once by {!make}: one array per
+    grid, shared read-only by every rank that asks for it. *)
+
 val rank_of_coords : t -> int array -> int
 val coords_of_rank : t -> int -> int array
 

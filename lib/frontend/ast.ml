@@ -74,11 +74,13 @@ type program = { main : subprogram; subs : subprogram list }
 (* Constructors and helpers                                            *)
 (* ------------------------------------------------------------------ *)
 
-let next_rid = ref 0
+(* domain-local: the serve daemon parses on several domains at once *)
+let next_rid = Domain.DLS.new_key (fun () -> ref 0)
 
 let fresh_rid () =
-  incr next_rid;
-  !next_rid
+  let c = Domain.DLS.get next_rid in
+  incr c;
+  !c
 
 let mk ?(loc = Loc.none) e = { e; loc }
 let int_lit ?loc n = mk ?loc (Int_lit n)

@@ -1,10 +1,13 @@
 open F90d_base
 
-let counter = ref 0
+(* domain-local, as are the compiler's other fresh-name counters: the
+   serve daemon compiles on several domains at once *)
+let counter = Domain.DLS.new_key (fun () -> ref 0)
 
 let fresh_var () =
-  incr counter;
-  Printf.sprintf "I__%d" !counter
+  let c = Domain.DLS.get counter in
+  incr c;
+  Printf.sprintf "I__%d" !c
 
 let is_array env name = Sema.array_spec env name <> None
 

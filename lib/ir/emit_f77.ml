@@ -91,13 +91,15 @@ let rec emit_comm b ind (c : Ir.comm) =
            (List.length members));
       List.iter (fun (m, _sid) -> emit_comm b (ind ^ "  ") m) members
 
-(* continuation labels for processor-masking gotos, unique per statement *)
-let label_counter = ref 0
+(* continuation labels for processor-masking gotos, unique per statement;
+   domain-local, as the serve daemon emits on several domains at once *)
+let label_counter = Domain.DLS.new_key (fun () -> ref 0)
 
 let emit_forall b ind (f : Ir.forall) =
   let line s = buf_add b (ind ^ s ^ "\n") in
-  incr label_counter;
-  let label = 100 + (10 * !label_counter) in
+  let c = Domain.DLS.get label_counter in
+  incr c;
+  let label = 100 + (10 * !c) in
   let vars = f.Ir.f_vars in
   line
     (Printf.sprintf "C --- FORALL (%s) %s = ... ---"
@@ -277,7 +279,7 @@ and emit_split_guarded b ind guard body =
       line "end if"
 
 let emit_unit (u : Ir.unit_ir) =
-  label_counter := 0;
+  Domain.DLS.get label_counter := 0;
   let b = Buffer.create 1024 in
   buf_add b (Printf.sprintf "C === SPMD node program for unit %s ===\n" u.Ir.u_name);
   buf_add b "C     generated Fortran 77 + message passing (paper-style)\n";

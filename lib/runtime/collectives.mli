@@ -18,9 +18,10 @@ type team = int array
 val team_all : Rctx.t -> team
 val team_along : Rctx.t -> dim:int -> team
 (** The grid row/column through this processor along grid dimension
-    [dim].  Both teams are memoized per rank context (the grid is fixed
-    for a run), so repeated collectives do not reallocate O(P) arrays;
-    callers must treat the returned array as read-only. *)
+    [dim].  [team_all] is built once per grid and shared by all ranks;
+    [team_along] is memoized per rank context (the grid is fixed for a
+    run).  Repeated collectives do not reallocate O(P) arrays; callers
+    must treat the returned array as read-only. *)
 
 val index_in : team -> int -> int
 (** Position of a grid rank in a team; fails if absent.  O(1) on

@@ -23,6 +23,9 @@ type t = {
   versions : (string, int) Hashtbl.t;
   mutable split_seq : int;
   kcfg : kcfg;
+  (* this rank's row/column along each grid dimension, filled on first
+     use; [||] marks an entry not yet built (no grid dimension is empty) *)
+  teams : int array array;
 }
 
 let make ?(kcfg = default_kcfg) eng grid =
@@ -36,6 +39,7 @@ let make ?(kcfg = default_kcfg) eng grid =
     versions = Hashtbl.create 16;
     split_seq = 0;
     kcfg;
+    teams = Array.make (Grid.ndims grid) [||];
   }
 
 let kernel_cfg t = t.kcfg
@@ -46,6 +50,14 @@ let me t = Grid.rank_of_phys t.grid (Engine.rank t.eng)
 let nprocs t = Grid.size t.grid
 let my_coords t = Grid.coords_of_rank t.grid (me t)
 let time t = Engine.time t.eng
+
+let team_along t ~dim =
+  match t.teams.(dim) with
+  | [||] ->
+      let team = Grid.ranks_along t.grid ~rank:(me t) ~dim in
+      t.teams.(dim) <- team;
+      team
+  | team -> team
 
 let cache_find t key = Hashtbl.find_opt t.sched_cache key
 let cache_store t key entry = Hashtbl.replace t.sched_cache key entry

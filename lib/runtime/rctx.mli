@@ -65,6 +65,10 @@ val nprocs : t -> int
 val my_coords : t -> int array
 val time : t -> float
 
+val team_along : t -> dim:int -> int array
+(** This processor's row/column along grid dimension [dim], ordered by
+    that coordinate; built on first use and kept for the run.  Read-only. *)
+
 val send :
   ?parts:(int * int) array -> t -> dest:int -> tag:int -> F90d_machine.Message.payload -> unit
 (** [dest] is a grid rank.  [parts] is the traced per-member

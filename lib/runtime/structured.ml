@@ -115,77 +115,93 @@ let transfer ctx (darr : Darray.t) ~dim ~gsrc ~gdest =
   | Some _ -> Diag.bug "transfer: protocol error"
   | None -> None
 
-let overlap_shift ctx (darr : Darray.t) ~dim ~amount =
-  if amount = 0 then ()
+(* The peers of one ghost shift, planned from one coordinate's side.
+   Every coordinate owns a contiguous block of global indices ([range c]
+   gives its first index and count), [owner g] is the coordinate owning
+   index [g], and a shift by [amount] fills the [|amount|] ghost cells
+   past the block's end ([amount > 0]) or before its start.  Blocks may
+   be shorter than the shift, so a ghost range can span several owners.
+
+   My ghost cells are owned by the blocks that cover them.  The peers
+   whose ghosts I fill are exactly the owners of the [|amount|] cells on
+   my other side: such a block ends (or starts) within [|amount|] cells
+   of mine, so its ghost range reaches into my block, and no block
+   further away can.  Both sets are found through [owner], so the cost
+   is O(|amount|) lookups whatever the number of coordinates; every pair
+   derives the same lists locally.
+
+   Returns [(sends, recvs)], each ordered by peer coordinate: for a send,
+   the positions (relative to my owned origin) of my slices in the
+   peer's ghost order; for a receive, the ghost slots they fill. *)
+let plan_shift ~range ~owner ~extent ~coord ~amount =
+  let w = abs amount in
+  let first, count = range coord in
+  if count = 0 then ([], [])
   else begin
-    let dad = darr.Darray.dad in
-    let d = (Dad.dims dad).(dim) in
-    let me = Rctx.me ctx in
-    let counts = my_counts ctx darr in
-    let n = counts.(dim) in
-    let w = abs amount in
-    (match Dad.layout_at dad ~dim ~rank:me with
-    | Layout.Prog { step = 1; _ } -> ()
-    | _ -> Diag.bug "overlap_shift: layout of %s dim %d is not contiguous" (Dad.name dad) (dim + 1));
-    if (amount > 0 && d.Dad.ghost_hi < w) || (amount < 0 && d.Dad.ghost_lo < w) then
-      Diag.bug "overlap_shift: ghost area of %s dim %d narrower than shift %d" (Dad.name dad)
-        (dim + 1) amount;
-    ignore n;
-    let pd = pdim_of darr dim in
-    let team = Collectives.team_along ctx ~dim:pd in
-    let coord = my_coord ctx darr dim in
-    let m = Array.length team in
-    (* Blocks shorter than the shift make the ghost range span several
-       owners, so both sides enumerate the owners of each ghost cell
-       instead of assuming the adjacent neighbour supplies them all; every
-       pair derives the same lists locally. *)
-    let range c =
-      match Dad.layout_at dad ~dim ~rank:team.(c) with
-      | Layout.Prog { first; step = 1; count } -> (first, count)
-      | _ ->
-          Diag.bug "overlap_shift: layout of %s dim %d is not contiguous" (Dad.name dad)
-            (dim + 1)
+    let last = first + count in
+    let near_lo, near_hi, ghost_lo, ghost_hi =
+      if amount > 0 then (max 0 (first - w), first, last, min extent (last + w))
+      else (last, min extent (last + w), max 0 (first - w), first)
     in
-    (* ghost globals coordinate c must fill, each with its ghost slot
-       (storage position relative to the owned origin) *)
-    let ghosts c =
-      let first, cnt = range c in
-      if cnt = 0 then []
-      else if amount > 0 then
-        List.init w (fun i -> (first + cnt + i, cnt + i))
-        |> List.filter (fun (g, _) -> g < d.Dad.extent)
-      else List.init w (fun i -> (first - w + i, -w + i)) |> List.filter (fun (g, _) -> g >= 0)
-    in
-    let owner g = owner_coord darr dim g in
-    let my_first, _ = range coord in
-    (* send first: the slices of mine each peer's ghost range needs, in
-       that peer's ghost order *)
-    for c = 0 to m - 1 do
-      if c <> coord then begin
-        let positions =
-          ghosts c
-          |> List.filter_map (fun (g, _) -> if owner g = coord then Some (g - my_first) else None)
-          |> Array.of_list
-        in
-        if Array.length positions > 0 then
-          Rctx.send ctx ~dest:team.(c) ~tag:Tags.shift
-            (Message.Arr (gather_dim_slices ctx darr.Darray.local ~dim ~counts positions))
-      end
+    let sends = ref [] and g = ref near_lo in
+    while !g < near_hi do
+      let c = owner !g in
+      let cf, ccount = range c in
+      let lo, hi = if amount > 0 then (cf + ccount, cf + ccount + w) else (cf - w, cf) in
+      let lo = max lo first and hi = min hi last in
+      if c <> coord && hi > lo then
+        sends := (c, Array.init (hi - lo) (fun i -> lo + i - first)) :: !sends;
+      g := max (!g + 1) (cf + ccount)
     done;
-    let from_peer = Array.make m [] in
+    let recvs = ref [] in
+    for g = ghost_hi - 1 downto ghost_lo do
+      let c = owner g in
+      if c <> coord then
+        recvs :=
+          match !recvs with
+          | (c', slots) :: rest when c' = c -> (c, (g - first) :: slots) :: rest
+          | l -> (c, [ g - first ]) :: l
+    done;
+    let by_coord l = List.sort (fun (a, _) (b, _) -> compare a b) l in
+    (by_coord !sends, by_coord (List.map (fun (c, slots) -> (c, Array.of_list slots)) !recvs))
+  end
+
+(* [plan_shift] for one member of an overlap shift, in grid ranks; layouts
+   are read by coordinate, so the layout memo stays on this rank. *)
+let shift_peers ctx (darr : Darray.t) ~dim ~amount =
+  let dad = darr.Darray.dad in
+  let d = (Dad.dims dad).(dim) in
+  let range c =
+    match Dad.layout dad ~dim ~coord:c with
+    | Layout.Prog { first; step = 1; count } -> (first, count)
+    | _ -> Diag.bug "overlap_shift: layout of %s dim %d is not contiguous" (Dad.name dad) (dim + 1)
+  in
+  let sends, recvs =
+    plan_shift ~range ~owner:(owner_coord darr dim) ~extent:d.Dad.extent
+      ~coord:(my_coord ctx darr dim) ~amount
+  in
+  let w = abs amount in
+  if (amount > 0 && d.Dad.ghost_hi < w) || (amount < 0 && d.Dad.ghost_lo < w) then
+    Diag.bug "overlap_shift: ghost area of %s dim %d narrower than shift %d" (Dad.name dad)
+      (dim + 1) amount;
+  let team = Collectives.team_along ctx ~dim:(pdim_of darr dim) in
+  let in_ranks = List.map (fun (c, slots) -> (team.(c), slots)) in
+  (in_ranks sends, in_ranks recvs)
+
+let overlap_shift ctx (darr : Darray.t) ~dim ~amount =
+  if amount <> 0 then begin
+    let sends, recvs = shift_peers ctx darr ~dim ~amount in
+    let counts = my_counts ctx darr in
     List.iter
-      (fun (g, slot) ->
-        let c = owner g in
-        if c <> coord then from_peer.(c) <- slot :: from_peer.(c))
-      (ghosts coord);
-    for c = 0 to m - 1 do
-      if from_peer.(c) <> [] then begin
-        let msg = Rctx.recv ctx ~src:team.(c) ~tag:Tags.shift in
-        scatter_dim_slices ctx ~dst:darr.Darray.local ~dim ~origin:0
-          (Array.of_list (List.rev from_peer.(c)))
-          (Message.arr msg)
-      end
-    done
+      (fun (dest, positions) ->
+        Rctx.send ctx ~dest ~tag:Tags.shift
+          (Message.Arr (gather_dim_slices ctx darr.Darray.local ~dim ~counts positions)))
+      sends;
+    List.iter
+      (fun (src, slots) ->
+        let msg = Rctx.recv ctx ~src ~tag:Tags.shift in
+        scatter_dim_slices ctx ~dst:darr.Darray.local ~dim ~origin:0 slots (Message.arr msg))
+      recvs
   end
 
 (* Exchange along one grid dimension: every coordinate wants the global
@@ -338,72 +354,23 @@ let recv_grouped ctx ~tag ins consume =
          List.iter2 consume items payloads)
 
 let overlap_shift_batch ctx members =
-  let members = List.filter (fun (_, _, amount, _) -> amount <> 0) members in
   let plans =
-    List.map
+    List.filter_map
       (fun ((darr : Darray.t), dim, amount, sid) ->
-        let dad = darr.Darray.dad in
-        let d = (Dad.dims dad).(dim) in
-        let counts = my_counts ctx darr in
-        let w = abs amount in
-        (match Dad.layout_at dad ~dim ~rank:(Rctx.me ctx) with
-        | Layout.Prog { step = 1; _ } -> ()
-        | _ ->
-            Diag.bug "overlap_shift: layout of %s dim %d is not contiguous" (Dad.name dad)
-              (dim + 1));
-        if (amount > 0 && d.Dad.ghost_hi < w) || (amount < 0 && d.Dad.ghost_lo < w) then
-          Diag.bug "overlap_shift: ghost area of %s dim %d narrower than shift %d"
-            (Dad.name dad) (dim + 1) amount;
-        let pd = pdim_of darr dim in
-        let team = Collectives.team_along ctx ~dim:pd in
-        let coord = my_coord ctx darr dim in
-        let m = Array.length team in
-        let range c =
-          match Dad.layout_at dad ~dim ~rank:team.(c) with
-          | Layout.Prog { first; step = 1; count } -> (first, count)
-          | _ ->
-              Diag.bug "overlap_shift: layout of %s dim %d is not contiguous" (Dad.name dad)
-                (dim + 1)
-        in
-        let ghosts c =
-          let first, cnt = range c in
-          if cnt = 0 then []
-          else if amount > 0 then
-            List.init w (fun i -> (first + cnt + i, cnt + i))
-            |> List.filter (fun (g, _) -> g < d.Dad.extent)
-          else List.init w (fun i -> (first - w + i, -w + i)) |> List.filter (fun (g, _) -> g >= 0)
-        in
-        let owner g = owner_coord darr dim g in
-        let my_first, _ = range coord in
-        let outs = ref [] in
-        for c = 0 to m - 1 do
-          if c <> coord then begin
-            let positions =
-              ghosts c
-              |> List.filter_map (fun (g, _) ->
-                     if owner g = coord then Some (g - my_first) else None)
-              |> Array.of_list
-            in
-            if Array.length positions > 0 then
-              outs :=
-                ( team.(c),
+        if amount = 0 then None
+        else begin
+          let sends, recvs = shift_peers ctx darr ~dim ~amount in
+          let counts = my_counts ctx darr in
+          let outs =
+            List.map
+              (fun (dest, positions) ->
+                ( dest,
                   sid,
-                  Message.Arr (gather_dim_slices ctx darr.Darray.local ~dim ~counts positions) )
-                :: !outs
-          end
-        done;
-        let from_peer = Array.make m [] in
-        List.iter
-          (fun (g, slot) ->
-            let c = owner g in
-            if c <> coord then from_peer.(c) <- slot :: from_peer.(c))
-          (ghosts coord);
-        let ins = ref [] in
-        for c = 0 to m - 1 do
-          if from_peer.(c) <> [] then
-            ins := (team.(c), (darr, dim, Array.of_list (List.rev from_peer.(c)))) :: !ins
-        done;
-        (List.rev !outs, List.rev !ins))
+                  Message.Arr (gather_dim_slices ctx darr.Darray.local ~dim ~counts positions) ))
+              sends
+          in
+          Some (outs, List.map (fun (src, slots) -> (src, (darr, dim, slots))) recvs)
+        end)
       members
   in
   send_grouped ctx ~tag:Tags.shift (List.concat_map fst plans);

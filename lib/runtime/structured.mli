@@ -37,6 +37,22 @@ val overlap_shift : Rctx.t -> Darray.t -> dim:int -> amount:int -> unit
     from the next coordinate).  Requires a BLOCK-contiguous layout and
     ghost widths of at least [|amount|] — the compiler guarantees both. *)
 
+val plan_shift :
+  range:(int -> int * int) ->
+  owner:(int -> int) ->
+  extent:int ->
+  coord:int ->
+  amount:int ->
+  (int * int array) list * (int * int array) list
+(** The peer plan behind {!overlap_shift}, seen from grid coordinate
+    [coord]: [range c] is coordinate [c]'s owned block (first global
+    index, count), [owner g] the coordinate owning global index [g].
+    Returns [(sends, recvs)] ordered by peer coordinate: the positions
+    (relative to the owned origin) of the slices sent to each peer, in
+    its ghost order, and the ghost slots filled from each peer.  Makes
+    at most [|amount| + 1] calls to [range] and [2 |amount|] to [owner],
+    whatever the number of coordinates. *)
+
 val exchange_wants :
   Rctx.t -> Darray.t -> dim:int -> wants:(int -> int array) -> Ndarray.t
 (** Generic exchange along the grid dimension of [dim]: coordinate [c]

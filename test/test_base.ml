@@ -150,6 +150,57 @@ let test_nd_bytes () =
   let b = Ndarray.create Scalar.Kint [| 5 |] in
   check "int bytes" 20 (Ndarray.bytes b)
 
+(* get_box/set_box against element-by-element loops over every box of a
+   few shapes with non-unit lower bounds, including a set_box between
+   kinds (converted as [Ndarray.set] does) and an out-of-range box. *)
+let test_nd_box () =
+  let rec boxes dims =
+    match dims with
+    | [] -> [ ([], []) ]
+    | (lb, e) :: rest ->
+        List.concat_map
+          (fun (los, exts) ->
+            List.concat_map
+              (fun lo -> List.init (lb + e - lo + 1) (fun x -> (lo :: los, x :: exts)))
+              (List.init e (fun i -> lb + i)))
+          (boxes rest)
+  in
+  let shapes = [ [ (1, 5) ]; [ (-1, 4); (0, 3) ]; [ (2, 3); (-2, 2); (1, 3) ] ] in
+  List.iter
+    (fun shape ->
+      let lb = Array.of_list (List.map fst shape) and ext = Array.of_list (List.map snd shape) in
+      let a = Ndarray.create Scalar.Kreal ~lb ext in
+      for i = 0 to Ndarray.size a - 1 do
+        Ndarray.set_flat a i (Real (float_of_int (i * i)))
+      done;
+      List.iter
+        (fun (lo, extents) ->
+          let lo = Array.of_list lo and extents = Array.of_list extents in
+          let box = Ndarray.get_box a ~lo ~extents in
+          let fresh = Ndarray.create Scalar.Kreal extents in
+          Ndarray.iteri fresh (fun idx _ ->
+              let src = Array.mapi (fun d i -> lo.(d) + i - 1) idx in
+              Ndarray.set fresh (Array.copy idx) (Ndarray.get a src));
+          checkb "get_box" true (Ndarray.equal box fresh);
+          (* write a distinct integer box back and compare with set *)
+          let ibox =
+            Ndarray.init Scalar.Kint extents (fun idx -> Int (7 + Array.fold_left ( + ) 0 idx))
+          in
+          let got = Ndarray.copy a and want = Ndarray.copy a in
+          Ndarray.set_box got ~lo ibox;
+          Ndarray.iteri ibox (fun idx v ->
+              Ndarray.set want (Array.mapi (fun d i -> lo.(d) + i - 1) idx) v);
+          checkb "set_box across kinds" true (Ndarray.equal got want);
+          let same = Ndarray.copy a in
+          Ndarray.set_box same ~lo box;
+          checkb "set_box of get_box is identity" true (Ndarray.equal same a))
+        (boxes shape);
+      let past = Array.mapi (fun d l -> l + ext.(d) - 1) lb in
+      match Ndarray.get_box a ~lo:past ~extents:(Array.make (Array.length ext) 2) with
+      | _ -> Alcotest.fail "expected out-of-bounds failure"
+      | exception Failure _ -> ())
+    shapes
+
 let prop_nd_roundtrip =
   QCheck.Test.make ~name:"ndarray get/set roundtrip at random index" ~count:200
     QCheck.(triple (int_range 1 5) (int_range 1 5) (int_range 0 1000))
@@ -217,6 +268,7 @@ let () =
           Alcotest.test_case "iteri order" `Quick test_nd_iteri_order;
           Alcotest.test_case "blit/slice" `Quick test_nd_blit;
           Alcotest.test_case "bytes" `Quick test_nd_bytes;
+          Alcotest.test_case "get_box/set_box" `Quick test_nd_box;
         ] );
       ("affine", [ Alcotest.test_case "basics" `Quick test_affine_basic ]);
       ("properties", qsuite);

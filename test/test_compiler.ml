@@ -617,6 +617,42 @@ C$    ALIGN B(I) WITH A(I)
   checkb "shift union saves messages" true
     (with_opt.Driver.stats.Stats.messages < without.Driver.stats.Stats.messages)
 
+(* The serve daemon compiles on several worker domains at once.  Each
+   program must still get the statement ids a lone compile gives it: with
+   the id counters shared between domains, one program's reset handed
+   another duplicate ids, and the interpreter's per-statement plan caches
+   then mixed up statements. *)
+let test_concurrent_compiles () =
+  let sources =
+    [
+      Programs.gauss ~n:24;
+      Programs.jacobi ~n:40 ~iters:2;
+      Programs.irregular ~n:32;
+      Programs.fft_butterfly ~n:64;
+    ]
+  in
+  let sids src =
+    List.concat_map
+      (fun (_, (u : F90d_ir.Ir.unit_ir)) ->
+        List.map (fun (p : F90d_ir.Ir.prov) -> p.pv_sid) (u.u_prov @ [ u.u_epilogue ]))
+      (Driver.compile src).Driver.c_ir.F90d_ir.Ir.p_units
+  in
+  let want = List.map sids sources in
+  let n = List.length sources in
+  let domains =
+    List.init 3 (fun k ->
+        Domain.spawn (fun () ->
+            List.init 40 (fun i ->
+                let j = (i + k) mod n in
+                (j, sids (List.nth sources j)))))
+  in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun (j, got) -> Alcotest.(check (list int)) "statement ids" (List.nth want j) got)
+        (Domain.join d))
+    domains
+
 let () =
   Alcotest.run "f90d_compiler"
     [
@@ -670,5 +706,6 @@ let () =
           Alcotest.test_case "aligned cyclic offset" `Quick test_cyclic_alignment_offset;
           Alcotest.test_case "nprocs invariance" `Quick test_same_result_across_nprocs;
           Alcotest.test_case "optimizations preserve results" `Quick test_optimization_equivalence;
+          Alcotest.test_case "concurrent compiles on domains" `Quick test_concurrent_compiles;
         ] );
     ]

@@ -453,6 +453,131 @@ let test_overlap_shift_2d () =
         per_proc)
     (results r)
 
+(* The old all-coordinates enumeration, kept here as the oracle for the
+   overlap_shift peer planner: every coordinate's ghost cells, and which
+   of them each coordinate owns. *)
+let brute_shift_plan ~range ~owner ~extent ~m ~coord ~amount =
+  let w = abs amount in
+  let ghosts c =
+    let first, cnt = range c in
+    if cnt = 0 then []
+    else if amount > 0 then
+      List.filter (fun (g, _) -> g < extent) (List.init w (fun i -> (first + cnt + i, cnt + i)))
+    else List.filter (fun (g, _) -> g >= 0) (List.init w (fun i -> (first - w + i, -w + i)))
+  in
+  let my_first, _ = range coord in
+  let peers f =
+    List.filter_map
+      (fun c ->
+        match if c = coord then [] else f c with [] -> None | l -> Some (c, Array.of_list l))
+      (List.init m Fun.id)
+  in
+  let mine = List.filter_map (fun (g, _) -> if owner g = coord then Some (g - my_first) else None) in
+  let from c = List.filter_map (fun (g, slot) -> if owner g = c then Some slot else None) in
+  (peers (fun c -> mine (ghosts c)), peers (fun c -> from c (ghosts coord)))
+
+let block_range_owner dad =
+  let d = (Dad.dims dad).(0) in
+  let range c =
+    match Dad.layout dad ~dim:0 ~coord:c with
+    | Layout.Prog { first; step = 1; count } -> (first, count)
+    | _ -> Alcotest.fail "block layout is not contiguous"
+  in
+  (range, fun g -> Distrib.owner d.Dad.dist (Affine.eval d.Dad.align g))
+
+(* For every extent 1..40, P in 1..9, 16, 64 and shift +-1..3 (blocks
+   shorter than the shift, empty trailing blocks when n < P): the
+   planner's lists equal the oracle's on every coordinate, and after
+   overlap_shift and after a batched shift every rank's ghost cells hold
+   its global neighbours while cells past the array stay zero. *)
+let test_overlap_plan_exact () =
+  let amounts = [ -3; -2; -1; 1; 2; 3 ] in
+  let plan_eq = Alcotest.(check (list (pair int (array int)))) in
+  List.iter
+    (fun p ->
+      for n = 1 to 40 do
+        let dad = dad1 ~n ~p () in
+        (Dad.dims dad).(0).Dad.ghost_lo <- 3;
+        (Dad.dims dad).(0).Dad.ghost_hi <- 3;
+        let range, owner = block_range_owner dad in
+        let case = Printf.sprintf "n=%d p=%d" n p in
+        List.iter
+          (fun amount ->
+            for coord = 0 to p - 1 do
+              let s, r = Structured.plan_shift ~range ~owner ~extent:n ~coord ~amount in
+              let bs, br = brute_shift_plan ~range ~owner ~extent:n ~m:p ~coord ~amount in
+              plan_eq (case ^ " sends") bs s;
+              plan_eq (case ^ " recvs") br r
+            done)
+          amounts;
+        let value g = float_of_int (g + 1) in
+        let r =
+          run_grid [| p |] (fun ctx ->
+              let me = Rctx.me ctx in
+              let first, cnt = range me in
+              let ghosts_ok a amount =
+                let ok = ref true in
+                for i = 1 to 3 do
+                  let g, slot =
+                    if amount > 0 then (first + cnt - 1 + i, cnt - 1 + i) else (first - i, -i)
+                  in
+                  let want = if i <= abs amount && g >= 0 && g < n then value g else 0. in
+                  if Ndarray.get a.Darray.local [| slot |] <> Scalar.Real want then ok := false
+                done;
+                !ok
+              in
+              List.for_all
+                (fun amount ->
+                  let fresh () =
+                    Darray.init_global ctx dad (fun g -> Scalar.Real (value (g.(0) - 1)))
+                  in
+                  let single = fresh () and batched = fresh () and other = fresh () in
+                  Structured.overlap_shift ctx single ~dim:0 ~amount;
+                  Structured.overlap_shift_batch ctx
+                    [ (batched, 0, amount, 1); (other, 0, -amount, 2) ];
+                  cnt = 0
+                  || ghosts_ok single amount && ghosts_ok batched amount
+                     && ghosts_ok other (-amount))
+                amounts)
+        in
+        Array.iteri
+          (fun rank ok -> checkb (Printf.sprintf "%s rank %d ghosts" case rank) true ok)
+          (results r)
+      done)
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 16; 64 ]
+
+(* The planner's cost must not grow with the machine: for a middle
+   coordinate, the layout and owner lookups of one shift are the same at
+   m = 16 and m = 4096, and stay within 2|amount| + 2 and 2|amount|. *)
+let test_overlap_plan_scaling () =
+  let lookups ~m ~per ~amount =
+    let dad = dad1 ~n:(per * m) ~p:m () in
+    let range, owner = block_range_owner dad in
+    let ranges = ref 0 and owners = ref 0 in
+    let range c =
+      incr ranges;
+      range c
+    and owner g =
+      incr owners;
+      owner g
+    in
+    ignore (Structured.plan_shift ~range ~owner ~extent:(per * m) ~coord:(m / 2) ~amount);
+    (!ranges, !owners)
+  in
+  List.iter
+    (fun per ->
+      List.iter
+        (fun amount ->
+          let w = abs amount in
+          let case = Printf.sprintf "block %d, shift %d" per amount in
+          let ((r16, o16) as small) = lookups ~m:16 ~per ~amount in
+          Alcotest.(check (pair int int)) (case ^ ": m=16 vs m=4096") small
+            (lookups ~m:4096 ~per ~amount);
+          checkb (case ^ ": layout lookups <= 2|amount| + 2") true (r16 <= (2 * w) + 2);
+          checkb (case ^ ": owner lookups <= 2|amount|") true (o16 <= 2 * w))
+        [ -3; -2; -1; 1; 2; 3 ])
+    [ 1; 2; 4 ]
+
 let test_temporary_shift () =
   let dad = dad1 ~n:12 ~p:3 () in
   let shift = 5 in
@@ -884,6 +1009,8 @@ let () =
           Alcotest.test_case "transfer slab" `Quick test_transfer_slab;
           Alcotest.test_case "overlap_shift" `Quick test_overlap_shift;
           Alcotest.test_case "overlap_shift 2d" `Quick test_overlap_shift_2d;
+          Alcotest.test_case "overlap_shift plan = brute force" `Quick test_overlap_plan_exact;
+          Alcotest.test_case "overlap_shift plan cost flat in P" `Quick test_overlap_plan_scaling;
           Alcotest.test_case "temporary_shift" `Quick test_temporary_shift;
           Alcotest.test_case "multicast_shift" `Quick test_multicast_shift;
           Alcotest.test_case "concat" `Quick test_concat;
